@@ -1,6 +1,6 @@
 """Exact rational plane geometry for cevian configurations.
 
-Projective incidence over Fraction scalars, barycentric frames, conjugation
+Projective incidence over coprime integer triples, barycentric frames, conjugation
 maps, affine fixed-point analysis, conics, and a machine-checked statement
 suite over randomized configurations.
 """

@@ -1,8 +1,9 @@
-"""Tiny exact linear algebra helpers over the rationals.
+"""Tiny exact linear algebra helpers over the integers and rationals.
 
-Everything here works on plain ints or fractions.Fraction and never rounds.
-Matrices are tuples of row tuples; sizes stay at most 6, so naive algorithms
-are the right tool.
+Everything here works on plain ints or fractions.Fraction and never rounds;
+on ints it stays in ints.  Matrices are tuples of row tuples; vectors and
+matrices are 3 wide except in nullspace, so naive algorithms are the right
+tool.
 """
 
 from __future__ import annotations
@@ -11,10 +12,6 @@ from fractions import Fraction
 from typing import Sequence
 
 Number = int | Fraction
-
-
-def det2(a: Number, b: Number, c: Number, d: Number) -> Number:
-    return a * d - b * c
 
 
 def det3(m: Sequence[Sequence[Number]]) -> Number:
@@ -31,34 +28,17 @@ def cross(u: Sequence[Number], v: Sequence[Number]) -> tuple[Number, Number, Num
 
 
 def dot(u: Sequence[Number], v: Sequence[Number]) -> Number:
-    return sum(a * b for a, b in zip(u, v))
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def mat_vec(m: Sequence[Sequence[Number]], v: Sequence[Number]) -> tuple[Number, ...]:
-    return tuple(dot(row, v) for row in m)
+def mat_vec(m: Sequence[Sequence[Number]], v: Sequence[Number]) -> tuple[Number, Number, Number]:
+    x, y, z = v
+    return tuple(a * x + b * y + c * z for a, b, c in m)
 
 
-def rank(rows: Sequence[Sequence[Number]]) -> int:
-    """Rank of a small matrix by fraction-exact Gaussian elimination."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][col]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+def vec_mat(v: Sequence[Number], m: Sequence[Sequence[Number]]) -> tuple[Number, Number, Number]:
+    x, y, z = v
+    return tuple(x * a + y * b + z * c for a, b, c in zip(*m))
 
 
 def nullspace(rows: Sequence[Sequence[Number]]) -> list[tuple[Fraction, ...]]:
@@ -95,29 +75,6 @@ def nullspace(rows: Sequence[Sequence[Number]]) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def solve2(m: Sequence[Sequence[Number]], rhs: Sequence[Number]) -> tuple[Fraction, Fraction] | None:
-    """Solve a 2x2 system by Cramer; None when numerically singular."""
-    d = det2(m[0][0], m[0][1], m[1][0], m[1][1])
-    if d == 0:
-        return None
-    x = det2(rhs[0], m[0][1], rhs[1], m[1][1])
-    y = det2(m[0][0], rhs[0], m[1][0], rhs[1])
-    return Fraction(x, 1) / d, Fraction(y, 1) / d
-
-
-def solve3(m: Sequence[Sequence[Number]], rhs: Sequence[Number]) -> tuple[Fraction, Fraction, Fraction] | None:
-    d = det3(m)
-    if d == 0:
-        return None
-    cols = [[row[j] for row in m] for j in range(3)]
-    out = []
-    for j in range(3):
-        repl = [cols[0][:], cols[1][:], cols[2][:]]
-        repl[j] = list(rhs)
-        out.append(Fraction(det3(list(zip(*repl)))) / d)
-    return out[0], out[1], out[2]
-
-
 def adjugate3(m: Sequence[Sequence[Number]]) -> tuple[tuple[Number, ...], ...]:
     (a, b, c), (d, e, f), (g, h, i) = m
     return (
@@ -126,10 +83,3 @@ def adjugate3(m: Sequence[Sequence[Number]]) -> tuple[tuple[Number, ...], ...]:
         (d * h - e * g, b * g - a * h, a * e - b * d),
     )
 
-
-def inverse3(m: Sequence[Sequence[Number]]) -> tuple[tuple[Fraction, ...], ...] | None:
-    d = det3(m)
-    if d == 0:
-        return None
-    adj = adjugate3(m)
-    return tuple(tuple(Fraction(x) / d for x in row) for row in adj)

@@ -1,9 +1,12 @@
 """Exact affine maps of the rational plane and their fixed point structure.
 
-An affine map is stored as a rational 2x2 matrix plus a translation vector;
-this representation is unique, so map equality is entrywise equality.  The
-map acts on ordinary points in Cartesian coordinates and on infinite points
-through its linear part, so the line at infinity is always preserved.
+An affine map is stored as a 3x3 integer matrix acting on Cartesian
+homogeneous coordinates, with bottom row (0, 0, k), k > 0, and coprime
+entries; this representation is unique, so map equality is entrywise
+equality.  Applying, composing and inverting stay in integers; the rational
+2x2 linear part m and translation t are derived on demand.  The map acts on
+infinite points through its linear part, so the line at infinity is always
+preserved.
 """
 
 from __future__ import annotations
@@ -14,89 +17,92 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from . import _linalg
 from .errors import (
     CollinearSource,
     CollinearTarget,
     InfiniteCenter,
     InfiniteInput,
 )
-from .projective import HLine, HPoint
+from .projective import HLine, HPoint, _column_matrix
 
 Mat2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 Vec2 = tuple[Fraction, Fraction]
+Mat3 = tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
 
 
-def _frac_mat(m: Sequence[Sequence[int | Fraction]]) -> Mat2:
-    return (
-        (Fraction(m[0][0]), Fraction(m[0][1])),
-        (Fraction(m[1][0]), Fraction(m[1][1])),
-    )
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class AffineMap:
-    """x -> m x + t on Cartesian coordinates."""
+    """x -> m x + t on Cartesian coordinates, held as the integer matrix
+    ((a, b, c), (d, e, f), (0, 0, k)) = k [[m, t], [0, 1]]."""
 
-    m: Mat2
-    t: Vec2
+    matrix: Mat3
 
     def __init__(self, m: Sequence[Sequence[int | Fraction]], t: Sequence[int | Fraction]):
-        object.__setattr__(self, "m", _frac_mat(m))
-        object.__setattr__(self, "t", (Fraction(t[0]), Fraction(t[1])))
+        entries = [Fraction(v) for v in (*m[0], t[0], *m[1], t[1])]
+        k = math.lcm(*(v.denominator for v in entries))
+        a, b, c, d, e, f = (v.numerator * (k // v.denominator) for v in entries)
+        object.__setattr__(self, "matrix", _reduced(a, b, c, d, e, f, k))
+
+    @classmethod
+    def _of(cls, a: int, b: int, c: int, d: int, e: int, f: int, k: int) -> "AffineMap":
+        """The map with integer matrix ((a, b, c), (d, e, f), (0, 0, k)), k != 0."""
+        f_map = object.__new__(cls)
+        if k < 0:
+            a, b, c, d, e, f, k = -a, -b, -c, -d, -e, -f, -k
+        object.__setattr__(f_map, "matrix", _reduced(a, b, c, d, e, f, k))
+        return f_map
 
     @classmethod
     def identity(cls) -> "AffineMap":
-        return cls(((1, 0), (0, 1)), (0, 0))
+        return cls._of(1, 0, 0, 0, 1, 0, 1)
 
     @property
-    def det(self) -> Fraction:
-        return self.m[0][0] * self.m[1][1] - self.m[0][1] * self.m[1][0]
+    def m(self) -> Mat2:
+        (a, b, _), (d, e, _), (_, _, k) = self.matrix
+        return (Fraction(a, k), Fraction(b, k)), (Fraction(d, k), Fraction(e, k))
+
+    @property
+    def t(self) -> Vec2:
+        (_, _, c), (_, _, f), (_, _, k) = self.matrix
+        return Fraction(c, k), Fraction(f, k)
+
+    def __repr__(self) -> str:
+        return f"AffineMap(m={self.m!r}, t={self.t!r})"
 
     def apply(self, p: HPoint) -> HPoint:
         """Image of a projective point; infinite points map by the linear part."""
+        (a, b, c), (d, e, f), (_, _, k) = self.matrix
         x, y, z = p.coords
-        nx = self.m[0][0] * x + self.m[0][1] * y + self.t[0] * z
-        ny = self.m[1][0] * x + self.m[1][1] * y + self.t[1] * z
-        return HPoint(nx, ny, z)
+        return HPoint(a * x + b * y + c * z, d * x + e * y + f * z, k * z)
 
     def apply_line(self, l: HLine) -> HLine:
-        """Image line; computed with the inverse transpose, hence exact."""
-        inv = self._m_inverse()
-        a, b, n = l.coeffs
-        na = inv[0][0] * a + inv[1][0] * b
-        nb = inv[0][1] * a + inv[1][1] * b
-        nn = n - (self.t[0] * na + self.t[1] * nb)
-        return HLine(na, nb, nn)
+        """Image line: the coefficient row times the adjugate, hence exact."""
+        return HLine(*_linalg.vec_mat(l.coeffs, self._adjugate()))
 
-    def _m_inverse(self) -> Mat2:
-        d = self.det
-        if d == 0:
+    def _adjugate(self) -> Mat3:
+        (a, b, _), (d, e, _), _ = self.matrix
+        if a * e - b * d == 0:
             raise CollinearTarget("affine map not invertible")
-        return (
-            (self.m[1][1] / d, -self.m[0][1] / d),
-            (-self.m[1][0] / d, self.m[0][0] / d),
-        )
+        return _linalg.adjugate3(self.matrix)
 
     def compose(self, other: "AffineMap") -> "AffineMap":
         """self after other: (self.compose(other))(x) = self(other(x))."""
-        a, b = self.m
-        m = (
-            (a[0] * other.m[0][0] + a[1] * other.m[1][0], a[0] * other.m[0][1] + a[1] * other.m[1][1]),
-            (b[0] * other.m[0][0] + b[1] * other.m[1][0], b[0] * other.m[0][1] + b[1] * other.m[1][1]),
-        )
-        t = (
-            a[0] * other.t[0] + a[1] * other.t[1] + self.t[0],
-            b[0] * other.t[0] + b[1] * other.t[1] + self.t[1],
-        )
-        return AffineMap(m, t)
+        (a, b, c), (d, e, f), (_, _, k) = self.matrix
+        (p, q, r), (s, u, v), (_, _, w) = other.matrix
+        return AffineMap._of(a * p + b * s, a * q + b * u, a * r + b * v + c * w,
+                             d * p + e * s, d * q + e * u, d * r + e * v + f * w,
+                             k * w)
 
     def invert(self) -> "AffineMap":
-        inv = self._m_inverse()
-        t = (
-            -(inv[0][0] * self.t[0] + inv[0][1] * self.t[1]),
-            -(inv[1][0] * self.t[0] + inv[1][1] * self.t[1]),
-        )
-        return AffineMap(inv, t)
+        (a, b, c), (d, e, f), (_, _, k) = self._adjugate()
+        return AffineMap._of(a, b, c, d, e, f, k)
+
+
+def _reduced(a: int, b: int, c: int, d: int, e: int, f: int, k: int) -> Mat3:
+    # k > 0, so dividing by the positive gcd leaves the form canonical
+    g = math.gcd(a, b, c, d, e, f, k)
+    return (a // g, b // g, c // g), (d // g, e // g, f // g), (0, 0, k // g)
 
 
 def from_correspondence(src: Sequence[HPoint], dst: Sequence[HPoint]) -> AffineMap:
@@ -109,26 +115,17 @@ def from_correspondence(src: Sequence[HPoint], dst: Sequence[HPoint]) -> AffineM
     for p in (*src, *dst):
         if p.is_infinite:
             raise InfiniteInput(f"correspondence point {p} is infinite")
-    s = [p.to_xy() for p in src]
-    d = [p.to_xy() for p in dst]
-    s10 = (s[1][0] - s[0][0], s[1][1] - s[0][1])
-    s20 = (s[2][0] - s[0][0], s[2][1] - s[0][1])
-    det_s = s10[0] * s20[1] - s10[1] * s20[0]
-    if det_s == 0:
+    s = _column_matrix(src)
+    if _linalg.det3(s) == 0:
         raise CollinearSource(f"source points {src} collinear")
-    d10 = (d[1][0] - d[0][0], d[1][1] - d[0][1])
-    d20 = (d[2][0] - d[0][0], d[2][1] - d[0][1])
-    det_d = d10[0] * d20[1] - d10[1] * d20[0]
-    if det_d == 0:
+    d = _column_matrix(dst)
+    if _linalg.det3(d) == 0:
         raise CollinearTarget(f"target points {dst} collinear")
-    # m [s10 s20] = [d10 d20], solved columnwise by Cramer
-    m00 = (d10[0] * s20[1] - d20[0] * s10[1]) / det_s
-    m01 = (d20[0] * s10[0] - d10[0] * s20[0]) / det_s
-    m10 = (d10[1] * s20[1] - d20[1] * s10[1]) / det_s
-    m11 = (d20[1] * s10[0] - d10[1] * s20[0]) / det_s
-    t0 = d[0][0] - (m00 * s[0][0] + m01 * s[0][1])
-    t1 = d[0][1] - (m10 * s[0][0] + m11 * s[0][1])
-    return AffineMap(((m00, m01), (m10, m11)), (t0, t1))
+    # d s^-1 up to scale: both column sets share a last coordinate, so the
+    # bottom row of the product is (0, 0, k) exactly
+    adj = _linalg.adjugate3(s)
+    (a, b, c), (e, f, g), (_, _, k) = (_linalg.vec_mat(row, adj) for row in d)
+    return AffineMap._of(a, b, c, e, f, g, k)
 
 
 def homothety(center: HPoint, ratio: int | Fraction) -> AffineMap:
@@ -136,8 +133,9 @@ def homothety(center: HPoint, ratio: int | Fraction) -> AffineMap:
     if center.is_infinite:
         raise InfiniteCenter(f"homothety center {center} is infinite")
     r = Fraction(ratio)
-    cx, cy = center.to_xy()
-    return AffineMap(((r, 0), (0, r)), ((1 - r) * cx, (1 - r) * cy))
+    p, q = r.numerator, r.denominator
+    cx, cy, cz = center.coords
+    return AffineMap._of(p * cz, 0, (q - p) * cx, 0, p * cz, (q - p) * cy, q * cz)
 
 
 def half_turn(center: HPoint) -> AffineMap:
@@ -173,74 +171,54 @@ class FixedPointStructure:
     irrational_directions_exist: bool
 
 
-def _rational_sqrt(f: Fraction) -> Fraction | None:
-    if f < 0:
-        return None
-    num = math.isqrt(f.numerator)
-    den = math.isqrt(f.denominator)
-    if num * num == f.numerator and den * den == f.denominator:
-        return Fraction(num, den)
-    return None
-
-
-def _eigendirections(m: Mat2) -> tuple[tuple[tuple[HPoint, Fraction], ...], bool, bool]:
+def _eigendirections(f: AffineMap) -> tuple[tuple[tuple[HPoint, Fraction], ...], bool, bool]:
     """Rational eigendirections of the linear part, as infinite points."""
-    tr = m[0][0] + m[1][1]
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    disc = tr * tr - 4 * det
+    (a, b, _), (d, e, _), (_, _, k) = f.matrix
+    # eigenvalues of the integer block are (tr +- root) / 2; of m, over k more
+    tr = a + e
+    disc = tr * tr - 4 * (a * e - b * d)
     if disc < 0:
         return (), False, False
-    root = _rational_sqrt(disc)
-    if root is None:
+    root = math.isqrt(disc)
+    if root * root != disc:
         return (), False, True
-    eigenvalues = sorted({(tr + root) / 2, (tr - root) / 2})
     directions: list[tuple[HPoint, Fraction]] = []
-    for lam in eigenvalues:
-        a, b = m[0][0] - lam, m[0][1]
-        c, d = m[1][0], m[1][1] - lam
-        if a == 0 and b == 0 and c == 0 and d == 0:
+    for twice in sorted({tr + root, tr - root}):
+        # twice the integer block minus twice the eigenvalue
+        p, q = 2 * a - twice, 2 * b
+        r, s = 2 * d, 2 * e - twice
+        if p == 0 and q == 0 and r == 0 and s == 0:
             return (), True, False  # scalar matrix: every direction is fixed
-        if a != 0 or b != 0:
-            vec = (b, -a)
+        if p != 0 or q != 0:
+            vec = (q, -p)
         else:
-            vec = (d, -c)
-        directions.append((HPoint(vec[0], vec[1], 0), lam))
+            vec = (s, -r)
+        directions.append((HPoint(vec[0], vec[1], 0), Fraction(twice, 2 * k)))
     return tuple(directions), False, False
 
 
 def fixed_points(f: AffineMap) -> FixedPointStructure:
     """Exact classification of the fixed locus of an affine map."""
-    directions, all_inf, irrational = _eigendirections(f.m)
-    a = f.m[0][0] - 1
-    b = f.m[0][1]
-    c = f.m[1][0]
-    d = f.m[1][1] - 1
-    rhs = (-f.t[0], -f.t[1])
-    det = a * d - b * c
-    if det != 0:
-        x = (rhs[0] * d - b * rhs[1]) / det
-        y = (a * rhs[1] - rhs[0] * c) / det
+    directions, all_inf, irrational = _eigendirections(f)
+    # ordinary fixed points solve rows . (x, y, 1) = 0 for both rows of M - k I
+    (a, b, c), (d, e, g), (_, _, k) = f.matrix
+    first, second = (a - k, b, c), (d, e - k, g)
+    meet = _linalg.cross(first, second)
+    if meet[2] != 0:
         return FixedPointStructure(
-            FixedPointKind.UNIQUE_POINT, HPoint(x, y, 1), None,
+            FixedPointKind.UNIQUE_POINT, HPoint(*meet), None,
             directions, all_inf, irrational)
-    if a == 0 and b == 0 and c == 0 and d == 0:
-        if f.t == (0, 0):
+    if first[:2] == (0, 0) and second[:2] == (0, 0):
+        if c == 0 and g == 0:
             return FixedPointStructure(
                 FixedPointKind.IDENTITY, None, None, directions, True, False)
         return FixedPointStructure(
             FixedPointKind.NO_ORDINARY_FIXED_POINT, None, None,
             directions, True, False)
-    # rank one: the two equations (m - 1) x = -t are proportional
-    if a != 0 or b != 0:
-        row, val = (a, b), rhs[0]
-        other_row, other_val = (c, d), rhs[1]
-    else:
-        row, val = (c, d), rhs[1]
-        other_row, other_val = (a, b), rhs[0]
-    pivot = row[0] if row[0] != 0 else row[1]
-    factor = (other_row[0] if row[0] != 0 else other_row[1]) / pivot
-    if other_row[0] == factor * row[0] and other_row[1] == factor * row[1] and other_val == factor * val:
-        line = HLine(row[0], row[1], -val)
+    # rank one linear part: the fixed points form a line exactly when the
+    # two equations are proportional
+    if meet == (0, 0, 0):
+        line = HLine(*(first if first[:2] != (0, 0) else second))
         return FixedPointStructure(
             FixedPointKind.LINE_OF_FIXED_POINTS, None, line,
             directions, all_inf, irrational)
@@ -269,15 +247,13 @@ def classify_homothety(f: AffineMap) -> HomothetyClassification:
     The identity map is OTHER: it is neither a proper homothety nor a
     proper translation.
     """
-    if f.m[0][1] != 0 or f.m[1][0] != 0 or f.m[0][0] != f.m[1][1]:
+    (a, b, c), (d, e, f_), (_, _, k) = f.matrix
+    if b != 0 or d != 0 or a != e:
         return HomothetyClassification(MapShape.OTHER)
-    lam = f.m[0][0]
-    if lam == 1:
-        if f.t == (0, 0):
+    if a == k:
+        if c == 0 and f_ == 0:
             return HomothetyClassification(MapShape.OTHER)
         return HomothetyClassification(
-            MapShape.TRANSLATION, direction=HPoint(f.t[0], f.t[1], 0))
-    cx = f.t[0] / (1 - lam)
-    cy = f.t[1] / (1 - lam)
+            MapShape.TRANSLATION, direction=HPoint(c, f_, 0))
     return HomothetyClassification(
-        MapShape.HOMOTHETY, center=HPoint(cx, cy, 1), ratio=lam)
+        MapShape.HOMOTHETY, center=HPoint(c, f_, k - a), ratio=Fraction(a, k))

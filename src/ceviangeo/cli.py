@@ -4,12 +4,21 @@ Machine-readable output keeps every coordinate as an exact rational string
 ("num/den", denominator omitted when 1); diagnostics go to standard error.
 Exit codes: 0 success / all pass, 1 statement failure, 2 usage or hypothesis
 error.
+
+Input coordinates are bounded: a coordinate string has at most
+MAX_COORD_CHARS characters, a decimal exponent of at most MAX_COORD_DIGITS in
+magnitude, and a value whose numerator and denominator have at most
+MAX_COORD_DIGITS decimal digits each.  The exponent is checked on the string,
+before any power is formed.  Derived coordinates grow to about fifteen times
+the input height, so the bound keeps them well below Python's limit on
+int-to-str conversion.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Any, Optional, Sequence, TextIO
@@ -25,18 +34,37 @@ from .triangle import Bary, Triangle, bary_to_point, point_to_bary
 
 _USAGE_ERROR = 2
 
+MAX_COORD_DIGITS = 100
+MAX_COORD_CHARS = 4 * MAX_COORD_DIGITS
+_COORD_LIMIT = 10 ** MAX_COORD_DIGITS
+_EXPONENT = re.compile(r"[eE]\s*([-+]?\d[\d_]*)")
+
 
 class DocumentError(ValueError):
     """Input document malformed or geometrically inadmissible."""
 
 
+def _too_big(where: str) -> DocumentError:
+    return DocumentError(
+        f"{where}: numerator and denominator may have at most {MAX_COORD_DIGITS} digits")
+
+
 def _fraction(value: Any, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise DocumentError(f"{where}: expected an exact rational string, got {value!r}")
+    if isinstance(value, str):
+        if len(value) > MAX_COORD_CHARS:
+            raise DocumentError(f"{where}: longer than {MAX_COORD_CHARS} characters")
+        exponent = _EXPONENT.search(value)
+        if exponent and abs(int(exponent.group(1).replace("_", ""))) > MAX_COORD_DIGITS:
+            raise _too_big(where)
     try:
-        return Fraction(str(value))
+        q = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise DocumentError(f"{where}: {exc}") from exc
+    if abs(q.numerator) >= _COORD_LIMIT or q.denominator >= _COORD_LIMIT:
+        raise _too_big(where)
+    return q
 
 
 def _rational(q: Fraction) -> str:
@@ -47,7 +75,7 @@ def parse_document(text: str) -> tuple[Triangle, HPoint]:
     """ConfigDocument JSON -> (triangle, pivot point)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integer literals past the int-to-str limit
         raise DocumentError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("input document must be a JSON object")
@@ -153,6 +181,9 @@ def _cmd_derive(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 
 def _cmd_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    if args.n <= 0:
+        print(f"error: --n must be a positive number of configurations, got {args.n}", file=err)
+        return _USAGE_ERROR
     ids: Optional[list[str]] = None
     if args.ids is not None:
         ids = [token.strip() for token in args.ids.split(",") if token.strip()]
@@ -235,7 +266,11 @@ def main(argv: Optional[Sequence[str]] = None,
     except SystemExit as exc:
         return int(exc.code or 0)
     handlers = {"derive": _cmd_derive, "check": _cmd_check, "figure": _cmd_figure}
-    return handlers[args.command](args, out, err)
+    try:
+        return handlers[args.command](args, out, err)
+    except ValueError as exc:  # GeometryError included: never exit with a traceback
+        print(f"error: {exc}", file=err)
+        return _USAGE_ERROR
 
 
 if __name__ == "__main__":

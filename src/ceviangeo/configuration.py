@@ -11,10 +11,18 @@ which case the fields that genuinely need ordinary inputs are None.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .affine import AffineMap, from_correspondence
-from .conjugacy import ConjugacyContext, ceva_conjugate, complement, isotomic
+from .conjugacy import (
+    ConjugacyContext,
+    ceva_conjugate,
+    complement,
+    cyclocevian,
+    formula_two,
+    isotomic,
+)
 from .errors import HypothesisViolated
 from .projective import HLine, HPoint, join, meet, midpoint
 from .triangle import (
@@ -94,6 +102,20 @@ class Configuration:
 
     seed: Optional[int] = None
     index: Optional[int] = None
+
+    @cached_property
+    def cyclocevian_image(self) -> Bary:
+        """Cyclocevian image of P, shared by every statement and figure.
+
+        Computed on first use; a construction that fails is not cached and
+        raises the same GeometryError again on the next use.
+        """
+        return cyclocevian(self.ctx, self.P_bary)
+
+    @cached_property
+    def formula_two_image(self) -> Bary:
+        """formula_two of P, computed on first use like cyclocevian_image."""
+        return formula_two(self.ctx, self.P_bary)
 
     def pi(self, y: HPoint) -> HPoint:
         """Involution of the side line BC: project through A after the cevian map.

@@ -36,9 +36,11 @@ class ConicKind(enum.Enum):
 
 def _canonical_sym(entries: Sequence[Fraction | int]) -> tuple[int, ...]:
     # entries = (m00, m01, m02, m11, m12, m22) of the symmetric matrix
-    fracs = [Fraction(e) for e in entries]
-    scale = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * scale) for f in fracs]
+    ints = list(entries)
+    if not all(type(e) is int for e in ints):
+        fracs = [Fraction(e) for e in entries]
+        scale = math.lcm(*(f.denominator for f in fracs))
+        ints = [f.numerator * (scale // f.denominator) for f in fracs]
     g = math.gcd(*ints)
     if g == 0:
         raise DegenerateConic("zero conic matrix")
@@ -119,17 +121,15 @@ def circle_through_three(a: HPoint, b: HPoint, c: HPoint) -> Conic:
     for p in pts:
         if p.is_infinite:
             raise InfiniteInput(f"circle through infinite point {p}")
-    rows = []
-    rhs = []
-    for p in pts:
-        x, y = p.to_xy()
-        rows.append((x, y, Fraction(1)))
-        rhs.append(-(x * x + y * y))
-    sol = _linalg.solve3(rows, rhs)
-    if sol is None:
+    # x^2 + y^2 + D x z + E y z + F z^2 = 0 at each point, solved by Cramer
+    rows = [(x * z, y * z, z * z) for x, y, z in (p.coords for p in pts)]
+    rhs = tuple(-(x * x + y * y) for x, y, _ in (p.coords for p in pts))
+    det = _linalg.det3(rows)
+    if det == 0:
         raise CollinearPoints(f"no circle through collinear {pts}")
-    dd, ee, ff = sol
-    return Conic(1, 0, dd / 2, 1, ee / 2, ff)
+    cols = tuple(zip(*rows))
+    dd, ee, ff = (_linalg.det3(cols[:j] + (rhs,) + cols[j + 1:]) for j in range(3))
+    return Conic(2 * det, 0, dd, 2 * det, ee, 2 * ff)
 
 
 def polar(c: Conic, p: HPoint) -> HLine:

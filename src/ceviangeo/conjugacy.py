@@ -10,6 +10,7 @@ purpose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -61,6 +62,15 @@ class ConjugacyContext:
         t = self.reference
         return t.a2, t.b2, t.c2
 
+    @cached_property
+    def _integer_metric(self) -> tuple[int, int, int]:
+        # the squared side lengths up to one common positive scale
+        a2, b2, c2 = self.metric
+        scale = math.lcm(a2.denominator, b2.denominator, c2.denominator)
+        return (a2.numerator * (scale // a2.denominator),
+                b2.numerator * (scale // b2.denominator),
+                c2.numerator * (scale // c2.denominator))
+
     def to_bary(self, p: HPoint) -> Bary:
         return point_to_bary(self.reference, p)
 
@@ -87,7 +97,7 @@ def isotomic(ctx: ConjugacyContext, p: Bary) -> Bary:
 def isogonal(ctx: ConjugacyContext, p: Bary) -> Bary:
     """Isogonal conjugate: cevians reflected in the angle bisectors."""
     u, v, w = _require_off_sidelines(p, "isogonal conjugate")
-    a2, b2, c2 = ctx.metric
+    a2, b2, c2 = ctx._integer_metric
     return Bary(a2 * v * w, b2 * u * w, c2 * u * v)
 
 
@@ -116,23 +126,28 @@ def isotomcomplement(ctx: ConjugacyContext, p: Bary) -> Bary:
 def _second_intersection(conic, s0: HPoint, s1: HPoint, known: HPoint) -> HPoint:
     """Other intersection of line s0 s1 with the conic, given one on it.
 
-    Uses Vieta on the quadratic in the line parameter, so a tangency simply
-    returns the known point again.
+    Uses Vieta on the binary quadratic form q(lam s0 + mu s1), so a tangency
+    simply returns the known point again.
     """
-    x0, y0 = s0.to_xy()
-    x1, y1 = s1.to_xy()
-    dx, dy = x1 - x0, y1 - y0
     m = conic.matrix
-    p0 = (x0, y0, Fraction(1))
-    dvec = (dx, dy, Fraction(0))
-    alpha = _linalg.dot(dvec, _linalg.mat_vec(m, dvec))
-    beta = 2 * _linalg.dot(dvec, _linalg.mat_vec(m, p0))
-    if alpha == 0:
+    p0, p1 = s0.coords, s1.coords
+    direction = tuple(p0[2] * b - p1[2] * a for a, b in zip(p0, p1))
+    if _linalg.dot(direction, _linalg.mat_vec(m, direction)) == 0:
         raise DegenerateCircle("side line meets the conic only once")
-    kx, ky = known.to_xy()
-    t_known = (kx - x0) / dx if dx != 0 else (ky - y0) / dy
-    t_other = -Fraction(beta) / alpha - t_known
-    return HPoint(x0 + t_other * dx, y0 + t_other * dy, 1)
+    m1 = _linalg.mat_vec(m, p1)
+    a = _linalg.dot(p0, _linalg.mat_vec(m, p0))
+    b = _linalg.dot(p0, m1)
+    c = _linalg.dot(p1, m1)
+    # known = lam_k s0 + mu_k s1, read off a nonzero coordinate of s0 x s1
+    i = next(i for i, v in enumerate(_linalg.cross(p0, p1)) if v)
+    lam_k = _linalg.cross(known.coords, p1)[i]
+    mu_k = _linalg.cross(p0, known.coords)[i]
+    # q = (mu_k lam - lam_k mu)(alpha lam + beta mu); the other root is (beta : -alpha)
+    if mu_k != 0:
+        lam, mu = 2 * b * mu_k + a * lam_k, -a * mu_k
+    else:
+        lam, mu = c, -2 * b
+    return HPoint(*(lam * x + mu * y for x, y in zip(p0, p1)))
 
 
 def _perspector(lines: list[HLine]) -> HPoint:

@@ -27,19 +27,23 @@ from .errors import (
 Scalar = Fraction
 
 
-def _canonical(coords: Sequence[int | Fraction]) -> tuple[int, ...]:
-    """Scale a rational triple to coprime ints, first nonzero entry positive."""
-    fracs = [Fraction(c) for c in coords]
-    if all(f == 0 for f in fracs):
+def _canonical(x: int | Fraction, y: int | Fraction, z: int | Fraction) -> tuple[int, int, int]:
+    """Scale a rational triple to coprime ints, first nonzero entry positive.
+
+    Integer input, the common case, never goes through Fraction.
+    """
+    if type(x) is not int or type(y) is not int or type(z) is not int:
+        fx, fy, fz = Fraction(x), Fraction(y), Fraction(z)
+        scale = math.lcm(fx.denominator, fy.denominator, fz.denominator)
+        x = fx.numerator * (scale // fx.denominator)
+        y = fy.numerator * (scale // fy.denominator)
+        z = fz.numerator * (scale // fz.denominator)
+    g = math.gcd(x, y, z)
+    if g == 0:
         raise DegenerateInput("zero homogeneous triple")
-    scale = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * scale) for f in fracs]
-    g = math.gcd(*ints)
-    ints = [n // g for n in ints]
-    first = next(n for n in ints if n != 0)
-    if first < 0:
-        ints = [-n for n in ints]
-    return tuple(ints)
+    if x < 0 or (x == 0 and (y < 0 or (y == 0 and z < 0))):
+        g = -g
+    return x // g, y // g, z // g
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ class HPoint:
     coords: tuple[int, int, int]
 
     def __init__(self, x: int | Fraction, y: int | Fraction, z: int | Fraction):
-        object.__setattr__(self, "coords", _canonical((x, y, z)))
+        object.__setattr__(self, "coords", _canonical(x, y, z))
 
     @classmethod
     def from_xy(cls, x: int | Fraction, y: int | Fraction) -> "HPoint":
@@ -76,7 +80,7 @@ class HLine:
     coeffs: tuple[int, int, int]
 
     def __init__(self, l: int | Fraction, m: int | Fraction, n: int | Fraction):
-        object.__setattr__(self, "coeffs", _canonical((l, m, n)))
+        object.__setattr__(self, "coeffs", _canonical(l, m, n))
 
     @property
     def is_line_at_infinity(self) -> bool:
@@ -90,6 +94,14 @@ class HLine:
 
 
 LINE_AT_INFINITY = HLine(0, 0, 1)
+
+
+def _column_matrix(points: Sequence[HPoint]) -> tuple[tuple[int, ...], ...]:
+    """Integer 3x3 matrix whose columns are three ordinary points, scaled to
+    one common last coordinate so that equal weights mean equal masses."""
+    common = math.lcm(*(p.coords[2] for p in points))
+    cols = [tuple(c * (common // p.coords[2]) for c in p.coords) for p in points]
+    return tuple(tuple(col[i] for col in cols) for i in range(3))
 
 
 def join(p: HPoint, q: HPoint) -> HLine:
@@ -111,20 +123,27 @@ def parallel(k: HLine, l: HLine) -> bool:
     return k.coeffs[0] * l.coeffs[1] - k.coeffs[1] * l.coeffs[0] == 0
 
 
+def _rank_at_most_two(rows: Sequence[tuple[int, int, int]]) -> bool:
+    # Rows are canonical, so two of them are independent exactly when they
+    # differ; every row must then be orthogonal to the cross of those two.
+    first = rows[0]
+    other = next((r for r in rows if r != first), None)
+    if other is None:
+        return True
+    normal = _linalg.cross(first, other)
+    return all(_linalg.dot(normal, r) == 0 for r in rows)
+
+
 def collinear(points: Iterable[HPoint]) -> bool:
     """True when all points lie on one common line (vacuous below three)."""
     rows = [p.coords for p in points]
-    if len(rows) < 3:
-        return True
-    return _linalg.rank(rows) <= 2
+    return len(rows) < 3 or _rank_at_most_two(rows)
 
 
 def concurrent(lines: Iterable[HLine]) -> bool:
     """True when all lines pass through one common point (vacuous below three)."""
     rows = [l.coeffs for l in lines]
-    if len(rows) < 3:
-        return True
-    return _linalg.rank(rows) <= 2
+    return len(rows) < 3 or _rank_at_most_two(rows)
 
 
 def _drop_coordinate(line: HLine) -> int:
@@ -182,10 +201,11 @@ def harmonic_conjugate(a: HPoint, b: HPoint, c: HPoint) -> HPoint:
         raise DegenerateInput("harmonic conjugate undefined at a base point")
     line = _common_line((a, b, c))
     k = _drop_coordinate(line)
-    ua, ub, uc = _project(a, k), _project(b, k), _project(c, k)
-    sol = _linalg.solve2(((ua[0], ub[0]), (ua[1], ub[1])), uc)
-    assert sol is not None  # a != b on the line, so the basis is independent
-    alpha, beta = sol
+    (a0, a1), (b0, b1), (c0, c1) = _project(a, k), _project(b, k), _project(c, k)
+    # c = alpha a + beta b by Cramer, both scaled by the nonzero determinant
+    # a0 b1 - a1 b0 (a != b on the line, so the basis is independent)
+    alpha = c0 * b1 - c1 * b0
+    beta = a0 * c1 - a1 * c0
     return HPoint(*(alpha * pa - beta * pb for pa, pb in zip(a.coords, b.coords)))
 
 
@@ -212,8 +232,8 @@ def signed_ratio(a: HPoint, b: HPoint, c: HPoint) -> Scalar:
 
 def midpoint(a: HPoint, b: HPoint) -> HPoint:
     """Midpoint of two ordinary points; midpoint(a, a) = a."""
-    if a.is_infinite or b.is_infinite:
+    ax, ay, az = a.coords
+    bx, by, bz = b.coords
+    if az == 0 or bz == 0:
         raise InfiniteInput("midpoint needs ordinary points")
-    ax, ay = a.to_xy()
-    bx, by = b.to_xy()
-    return HPoint(Fraction(ax + bx, 2), Fraction(ay + by, 2), 1)
+    return HPoint(ax * bz + bx * az, ay * bz + by * az, 2 * az * bz)

@@ -13,7 +13,6 @@ from typing import Callable, Optional
 
 from .configuration import Configuration
 from .conic import circle_through_three
-from .conjugacy import cyclocevian
 from .errors import FigureUnavailable, GeometryError
 from .projective import HLine, HPoint, join, signed_ratio
 from .triangle import bary_to_point, cevian_triangle, trilinear_polar
@@ -282,13 +281,13 @@ def _fig_trace_circle(cfg: Configuration) -> _Scene:
         raise FigureUnavailable("figure requires the ordinary point P")
     scene.mark("P", cfg.P)
     try:
-        phi_bary = cyclocevian(cfg.ctx, cfg.P_bary)
+        phi = bary_to_point(cfg.triangle, cfg.cyclocevian_image)
+        phi_traces = cevian_triangle(cfg.triangle, phi)
     except GeometryError as exc:
         raise FigureUnavailable(f"trace circle undefined: {exc}") from exc
-    phi = bary_to_point(cfg.triangle, phi_bary)
     scene.mark("φ(P)", phi)
     traces = [("D", cfg.D[1]), ("E", cfg.E[1]), ("F", cfg.F[1])]
-    traces += list(zip(("D′", "E′", "F′"), cevian_triangle(cfg.triangle, phi)))
+    traces += list(zip(("D′", "E′", "F′"), phi_traces))
     for name, pt in traces:
         scene.mark(name, pt)
     circle = circle_through_three(cfg.D[1], cfg.E[1], cfg.F[1])

@@ -17,9 +17,7 @@ from .affine import MapShape, FixedPointKind, classify_homothety, fixed_points, 
 from .configuration import Configuration
 from .conjugacy import (
     ConjugacyContext,
-    cyclocevian,
     formula_one,
-    formula_two,
     isogonal,
     isotomcomplement,
 )
@@ -196,7 +194,7 @@ def t2_7(cfg: Configuration) -> Outcome:
     """The isogonal conjugate of Q is the isotomcomplement of the cyclocevian image."""
     if not _p_ordinary(cfg):
         return _skip("cyclocevian conjugate needs an ordinary pivot")
-    phi = cyclocevian(cfg.ctx, cfg.P_bary)
+    phi = cfg.cyclocevian_image
     if 0 in phi.coords:
         return _skip("cyclocevian image on a side line")
     lhs = isogonal(cfg.ctx, cfg.Q_bary)
@@ -204,7 +202,7 @@ def t2_7(cfg: Configuration) -> Outcome:
     if lhs != rhs:
         return _fail(f"isogonal(Q)={lhs} != isotomcomplement(cyclocevian P)={rhs}")
     try:
-        f2 = formula_two(cfg.ctx, cfg.P_bary)
+        f2 = cfg.formula_two_image
     except ChainDegenerate as exc:
         return _skip(str(exc))
     if f2 != phi:
@@ -288,10 +286,12 @@ def pi_inv(cfg: Configuration) -> Outcome:
     t = cfg.triangle
     if cfg.pi(t.B) != t.C or cfg.pi(t.C) != t.B:
         return _fail("involution does not swap B and C")
-    bx, by = t.B.to_xy()
-    cx, cy = t.C.to_xy()
+    bx, by, bz = t.B.coords
+    cx, cy, cz = t.C.coords
     for k in _PI_PARAMS:
-        y = HPoint(bx + k * (cx - bx), by + k * (cy - by), 1)
+        # y = B + k (C - B) with k = n / d
+        n, d = k.numerator, k.denominator
+        y = HPoint((d - n) * bx * cz + n * cx * bz, (d - n) * by * cz + n * cy * bz, d * bz * cz)
         back = cfg.pi(cfg.pi(y))
         if back != y:
             return _fail(f"pi(pi({y})) = {back}")
@@ -498,10 +498,10 @@ def f1_f2(cfg: Configuration) -> Outcome:
     """The two composite formulas agree with the trace-circle construction."""
     if not _p_ordinary(cfg):
         return _skip("cyclocevian conjugate needs an ordinary pivot")
-    phi = cyclocevian(cfg.ctx, cfg.P_bary)
+    phi = cfg.cyclocevian_image
     try:
         f1 = formula_one(cfg.ctx, cfg.P_bary)
-        f2 = formula_two(cfg.ctx, cfg.P_bary)
+        f2 = cfg.formula_two_image
     except ChainDegenerate as exc:
         return _skip(str(exc))
     if not (f1 == f2 == phi):

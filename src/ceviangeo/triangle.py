@@ -18,9 +18,10 @@ from . import _linalg
 from .errors import (
     DegeneratePerspector,
     DegenerateTriangle,
+    InfiniteInput,
     PointOnSideline,
 )
-from .projective import HLine, HPoint, join, meet, midpoint, _canonical
+from .projective import HLine, HPoint, join, meet, midpoint, _canonical, _column_matrix
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,7 @@ class Bary:
     coords: tuple[int, int, int]
 
     def __init__(self, u: int | Fraction, v: int | Fraction, w: int | Fraction):
-        object.__setattr__(self, "coords", _canonical((u, v, w)))
+        object.__setattr__(self, "coords", _canonical(u, v, w))
 
     @property
     def is_infinite(self) -> bool:
@@ -42,9 +43,12 @@ class Bary:
 
 def dist2(p: HPoint, q: HPoint) -> Fraction:
     """Squared Euclidean distance between ordinary points."""
-    px, py = p.to_xy()
-    qx, qy = q.to_xy()
-    return (px - qx) ** 2 + (py - qy) ** 2
+    px, py, pz = p.coords
+    qx, qy, qz = q.coords
+    if pz == 0 or qz == 0:
+        raise InfiniteInput(f"no Cartesian coordinates for {p if pz == 0 else q}")
+    dx, dy = px * qz - qx * pz, py * qz - qy * pz
+    return Fraction(dx * dx + dy * dy, (pz * qz) ** 2)
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,7 @@ class Triangle:
         for v in (self.A, self.B, self.C):
             if v.is_infinite:
                 raise DegenerateTriangle(f"vertex {v} is infinite")
-        if _linalg.rank([self.A.coords, self.B.coords, self.C.coords]) < 3:
+        if _linalg.det3((self.A.coords, self.B.coords, self.C.coords)) == 0:
             raise DegenerateTriangle("vertices collinear or coincident")
 
     @classmethod
@@ -93,16 +97,14 @@ class Triangle:
         return bary_to_point(self, Bary(1, 1, 1))
 
     @cached_property
-    def _vertex_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        # columns are the z-normalized vertices; maps barycentric to Cartesian
-        cols = [v.to_xy() + (Fraction(1),) for v in self.vertices]
-        return tuple(tuple(col[i] for col in cols) for i in range(3))
+    def _vertex_matrix(self) -> tuple[tuple[int, ...], ...]:
+        # maps barycentric to Cartesian homogeneous coordinates
+        return _column_matrix(self.vertices)
 
     @cached_property
-    def _vertex_matrix_inv(self) -> tuple[tuple[Fraction, ...], ...]:
-        inv = _linalg.inverse3(self._vertex_matrix)
-        assert inv is not None  # vertices are independent
-        return inv
+    def _vertex_matrix_inv(self) -> tuple[tuple[int, ...], ...]:
+        # The adjugate: the inverse up to a projective scale, and integer.
+        return _linalg.adjugate3(self._vertex_matrix)
 
 
 def point_to_bary(t: Triangle, p: HPoint) -> Bary:
